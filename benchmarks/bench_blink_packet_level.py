@@ -17,14 +17,12 @@ ever materialised.
 Two gated records feed ``tools/bench_compare.py``:
 
 * ``blink_packet_level`` — the full experiment (workload + streaming
-  aggregation + Blink replay).  Its ``report_hash`` extra_info is the
-  cross-scheduler parity witness: CI runs this bench once per
-  ``--scheduler`` backend and requires identical hashes.
+  aggregation + Blink replay), with its ``report_hash`` in extra_info.
 * ``blink_packet_level_events`` — engine-only throughput: the packet
   schedule is preloaded into the queue (hundreds of thousands of
-  pending events) and dispatch alone is timed, best-of-3.  This is
-  where the calendar queue's O(1) operations beat the heap's
-  O(log n); CI enforces the >=3x events/sec floor on it.
+  pending events) and dispatch alone is timed, best-of-3.
+
+Both records carry ``backend="calendar"``, the event queue they ran on.
 """
 
 from conftest import banner, bench_record, run_once
@@ -35,14 +33,17 @@ from repro.flows import DurationDistribution
 
 PREFIX = "198.51.100.0/24"
 
+#: The event queue the records are keyed by (``<name>:calendar``).
+QUEUE = "calendar"
+
 #: Engine-throughput scale: enough pending events to exercise queue
-#: depth (~290k) while keeping the heap run CI-friendly.
+#: depth (~290k) while keeping the run CI-friendly.
 ENGINE_LEGIT_FLOWS = 250
 ENGINE_MALICIOUS_FLOWS = 13
 ENGINE_REPS = 3
 
 
-def test_packet_level_capture(benchmark, scheduler_name):
+def test_packet_level_capture(benchmark):
     report = run_once(
         benchmark,
         packet_level_experiment,
@@ -50,12 +51,11 @@ def test_packet_level_capture(benchmark, scheduler_name):
         # median tuned so the measured tR lands near the paper's 8.37 s
         duration_model=DurationDistribution(median=3.0),
         seed=0,
-        scheduler=scheduler_name,
     )
 
     banner(
         "E2 — packet-level Blink capture (2000 legit + 105 malicious flows, "
-        f"{scheduler_name} scheduler)"
+        f"{QUEUE} queue)"
     )
     print(
         series_block(
@@ -106,17 +106,17 @@ def test_packet_level_capture(benchmark, scheduler_name):
         }
     )
     # Gate on the simulation region (loop.run_until), the part the
-    # scheduler backend actually governs; spec generation is excluded.
+    # event queue actually governs; spec generation is excluded.
     bench_record(
         benchmark,
         name="blink_packet_level",
-        backend=scheduler_name,
+        backend=QUEUE,
         trials=report.packets,
         wall_seconds=report.wall_seconds,
     )
 
 
-def test_packet_level_engine_throughput(benchmark, scheduler_name):
+def test_packet_level_engine_throughput(benchmark):
     def best_of_reps():
         best = None
         for _ in range(ENGINE_REPS):
@@ -125,7 +125,6 @@ def test_packet_level_engine_throughput(benchmark, scheduler_name):
                 legitimate_flows=ENGINE_LEGIT_FLOWS,
                 malicious_flows=ENGINE_MALICIOUS_FLOWS,
                 seed=0,
-                scheduler=scheduler_name,
                 with_trace=False,
                 preload=True,
             )
@@ -136,7 +135,7 @@ def test_packet_level_engine_throughput(benchmark, scheduler_name):
     report = run_once(benchmark, best_of_reps)
 
     banner(
-        f"Engine throughput — preloaded packet schedule, {scheduler_name} scheduler"
+        f"Engine throughput — preloaded packet schedule, {QUEUE} queue"
     )
     rows = [
         {"quantity": "pending events preloaded", "value": report.events},
@@ -158,7 +157,7 @@ def test_packet_level_engine_throughput(benchmark, scheduler_name):
     bench_record(
         benchmark,
         name="blink_packet_level_events",
-        backend=scheduler_name,
+        backend=QUEUE,
         trials=report.events,
         wall_seconds=report.wall_seconds,
     )

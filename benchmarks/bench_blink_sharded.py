@@ -41,7 +41,7 @@ REPS = 3
 METRICS_OUT_ENV = "REPRO_SHARDED_METRICS_OUT"
 
 
-def test_sharded_engine_throughput(benchmark, shard_count, scheduler_name):
+def test_sharded_engine_throughput(benchmark, shard_count):
     registry = obs_metrics.MetricRegistry()
 
     def best_of_reps():
@@ -52,7 +52,6 @@ def test_sharded_engine_throughput(benchmark, shard_count, scheduler_name):
                     legitimate_flows=LEGIT_FLOWS,
                     malicious_flows=MALICIOUS_FLOWS,
                     seed=0,
-                    scheduler=scheduler_name,
                     shards=shard_count,
                     preload=True,
                     with_trace=False,
@@ -63,10 +62,7 @@ def test_sharded_engine_throughput(benchmark, shard_count, scheduler_name):
 
     report = run_once(benchmark, best_of_reps)
 
-    banner(
-        f"Sharded engine throughput — {shard_count} shard(s), "
-        f"{scheduler_name} scheduler"
-    )
+    banner(f"Sharded engine throughput — {shard_count} shard(s)")
     rows = [
         {"quantity": "shards", "value": report.shards},
         {"quantity": "events dispatched", "value": report.events},

@@ -112,7 +112,7 @@ def _flow_stream(pools):
     return itertools.chain.from_iterable(streams)
 
 
-def test_sharded_forwarding_throughput(benchmark, shard_count, scheduler_name):
+def test_sharded_forwarding_throughput(benchmark, shard_count):
     topology = clustered_random_topology(
         REGIONS, CLUSTER_NODES, seed=SEED, backbone_delay_s=BACKBONE_DELAY_S
     )
@@ -130,7 +130,6 @@ def test_sharded_forwarding_throughput(benchmark, shard_count, scheduler_name):
             HORIZON,
             seed=SEED,
             shards=shard_count,
-            scheduler=scheduler_name,
             assignment=assignment,
             adaptive_window=adaptive,
             endpoints=endpoints,
@@ -147,10 +146,7 @@ def test_sharded_forwarding_throughput(benchmark, shard_count, scheduler_name):
 
     report = run_once(benchmark, best_of_reps)
 
-    banner(
-        f"Sharded forwarding throughput — {shard_count} shard(s), "
-        f"{scheduler_name} scheduler"
-    )
+    banner(f"Sharded forwarding throughput — {shard_count} shard(s)")
     rows = [
         {"quantity": "routers", "value": REGIONS * CLUSTER_NODES},
         {"quantity": "shards", "value": report.shards},
@@ -221,7 +217,7 @@ QUIET_FLOWS = 8
 HETERO_CROSS_FLOWS = 8
 
 
-def test_adaptive_window_speedup(benchmark, shard_count, scheduler_name):
+def test_adaptive_window_speedup(benchmark, shard_count):
     import pytest
 
     if shard_count != REGIONS:
@@ -264,7 +260,6 @@ def test_adaptive_window_speedup(benchmark, shard_count, scheduler_name):
             HORIZON,
             seed=SEED,
             shards=shard_count,
-            scheduler=scheduler_name,
             assignment=assignment,
             adaptive_window=adaptive,
             endpoints=endpoints,
@@ -289,10 +284,7 @@ def test_adaptive_window_speedup(benchmark, shard_count, scheduler_name):
     )
     speedup = fixed.wall_seconds / adaptive.wall_seconds
 
-    banner(
-        f"Adaptive vs fixed windows — {shard_count} shard(s), "
-        f"{scheduler_name} scheduler"
-    )
+    banner(f"Adaptive vs fixed windows — {shard_count} shard(s)")
     rows = [
         {"policy": "fixed", "windows": fixed.windows,
          "fast_forwards": fixed.fast_forwards,

@@ -60,14 +60,6 @@ def pytest_addoption(parser):
         "(default: $REPRO_BACKEND, then python)",
     )
     group.addoption(
-        "--scheduler",
-        action="store",
-        default=None,
-        choices=("heap", "calendar"),
-        help="event-queue scheduler for scheduler-aware benches "
-        "(default: $REPRO_SCHEDULER, then heap)",
-    )
-    group.addoption(
         "--shards",
         action="store",
         type=int,
@@ -104,14 +96,6 @@ def kernel_backend(request) -> str:
     from repro.kernels import resolve_backend_name
 
     return resolve_backend_name(request.config.getoption("--backend"))
-
-
-@pytest.fixture
-def scheduler_name(request) -> str:
-    """The resolved event-queue scheduler for this bench session."""
-    from repro.netsim.events import resolve_scheduler_name
-
-    return resolve_scheduler_name(request.config.getoption("--scheduler"))
 
 
 @pytest.fixture

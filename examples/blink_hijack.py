@@ -8,9 +8,8 @@ malicious share of the monitored sample growing over time (the Fig. 2
 dynamics including hash coverage and eviction effects the closed form
 ignores), and (ii) the resulting bogus reroute.
 
-The scheduler backend honours ``REPRO_SCHEDULER`` (``heap`` or
-``calendar``); the throughput line at the end makes the difference
-user-visible.
+The throughput line at the end reports the event loop's speed and the
+streaming trace ring's peak memory.
 
 Run:  python examples/blink_hijack.py        (~10 s)
 """
@@ -75,8 +74,7 @@ def main() -> None:
     print()
     print(
         f"engine: {report.events:,} events in {report.wall_seconds:.2f}s wall "
-        f"({report.events_per_second:,.0f} events/s, "
-        f"scheduler={report.scheduler}); peak trace memory "
+        f"({report.events_per_second:,.0f} events/s); peak trace memory "
         f"{report.peak_ring_bytes / 1024:.1f} KiB (streaming ring)"
     )
 

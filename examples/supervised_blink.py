@@ -87,7 +87,7 @@ def main() -> None:
     print()
 
     # The same monitor logic runs at packet level on the fast-path
-    # engine (honours REPRO_SCHEDULER=heap|calendar).
+    # event engine.
     from repro.blink import packet_level_experiment
 
     report = packet_level_experiment(
@@ -96,7 +96,7 @@ def main() -> None:
     print(
         f"Packet-level engine check: {report.events:,} events in "
         f"{report.wall_seconds:.2f}s wall ({report.events_per_second:,.0f} "
-        f"events/s, scheduler={report.scheduler}); peak trace memory "
+        f"events/s); peak trace memory "
         f"{report.peak_ring_bytes / 1024:.1f} KiB (streaming ring)"
     )
 

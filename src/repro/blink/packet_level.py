@@ -1,14 +1,14 @@
 """Event-driven packet-level Blink experiment (Section 3.1, E2).
 
 This module is the shared driver behind the packet-level bench, the
-cross-scheduler determinism tests and the examples.  Instead of
+determinism tests and the examples.  Instead of
 materialising the whole workload as a sorted :class:`~repro.netsim.
 trace.Trace` (~2M records at full scale) and replaying it offline, the
 experiment runs *through the event loop*:
 
 * :func:`~repro.flows.generators.schedule_workload` bulk-loads each
   flow's packet schedule when the flow starts (one shared event per
-  flow on the calendar scheduler);
+  flow on the calendar queue);
 * every emitted packet is folded into a
   :class:`~repro.netsim.trace.StreamingTraceAggregator` — O(1) running
   counters plus a bounded ring buffer, so memory stays flat no matter
@@ -20,9 +20,10 @@ experiment runs *through the event loop*:
 
 The resulting :class:`PacketLevelReport` carries a canonical
 ``report_hash`` over everything deterministic (series, outcomes,
-aggregate counters — *not* wall time or the scheduler name), which is
-what the CI parity gate compares across the ``heap`` and ``calendar``
-scheduler backends: same seed, different scheduler, identical hash.
+aggregate counters — *not* wall time or the shard count), which the
+determinism tests compare across shard counts, kernel backends and a
+test-only ordering oracle for the event queue: same seed, identical
+hash.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.flows.generators import (
     schedule_workload,
     steady_state_flow_schedule,
 )
-from repro.netsim.events import EventLoop, resolve_scheduler_name
+from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.sharded import ShardedPacketEngine, resolve_shard_count
 from repro.netsim.packet import TcpFlags, tcp_packet
@@ -62,13 +63,12 @@ class PacketLevelReport:
     """Everything the packet-level experiment produced.
 
     ``report_hash`` covers the deterministic outcome only — wall-clock
-    fields (``wall_seconds``, ``events_per_second``) and the scheduler
-    name are excluded, so runs under different scheduler backends with
-    the same parameters must hash identically.
+    fields (``wall_seconds``, ``events_per_second``) and the shard
+    count are excluded, so runs under different shard counts with the
+    same parameters must hash identically.
     """
 
     prefix: str
-    scheduler: str
     seed: int
     horizon: float
     flows: int
@@ -87,13 +87,13 @@ class PacketLevelReport:
     trace_summary: Dict[str, object] = field(default_factory=dict)
     peak_ring_bytes: int = 0
     #: Shard count the run executed under.  Excluded from
-    #: :meth:`canonical` (like the scheduler name): the determinism
-    #: contract makes it an execution detail, not an outcome.
+    #: :meth:`canonical`: the determinism contract makes it an
+    #: execution detail, not an outcome.
     shards: int = 1
 
     @property
     def events_per_second(self) -> float:
-        """Scheduler throughput: events processed per wall second."""
+        """Event-loop throughput: events processed per wall second."""
         if self.wall_seconds <= 0:
             return 0.0
         return self.events / self.wall_seconds
@@ -181,7 +181,6 @@ def packet_level_experiment(
     duration_model: Optional[DurationDistribution] = None,
     packet_rate: float = 2.0,
     seed: int = 0,
-    scheduler: Optional[str] = None,
     sample_interval: float = 2.0,
     cells: int = 64,
     retransmission_window: float = 2.0,
@@ -198,8 +197,6 @@ def packet_level_experiment(
     """Run the packet-level capture experiment through the event loop.
 
     Args:
-        scheduler: event-queue backend (``"heap"``/``"calendar"``;
-            None resolves via ``REPRO_SCHEDULER`` then the default).
         shards: worker-process count for the sharded engine (None
             resolves via ``REPRO_SHARDS`` then 1).  ``shards=1`` runs
             today's single-loop path untouched; any other count runs
@@ -223,11 +220,10 @@ def packet_level_experiment(
             *before* the timed run instead of lazily at flow start.
             The queue then holds the full workload (hundreds of
             thousands of entries), which is where the calendar queue's
-            O(1) operations beat the heap's O(log n) hardest; the
-            reported ``wall_seconds`` covers dispatch only.  Tie-order
-            of same-timestamp events differs from the lazy mode (push
-            order differs), so hashes are comparable within one mode
-            only — still scheduler-invariant within each.
+            O(1) pushes pay off most; the reported ``wall_seconds``
+            covers dispatch only.  Tie-order of same-timestamp events
+            differs from the lazy mode (push order differs), so hashes
+            are comparable within one mode only.
         through_link: additionally push every packet through a pooled
             ingress :class:`~repro.netsim.link.Link` (serialisation +
             propagation delay, free-list packet recycling) before it is
@@ -239,9 +235,8 @@ def packet_level_experiment(
             gate applied per record (drop/garble) on the way into Blink.
 
     Returns a :class:`PacketLevelReport`; its ``report_hash`` is
-    invariant across scheduler backends for identical parameters.
+    invariant across shard counts for identical parameters.
     """
-    scheduler_name = resolve_scheduler_name(scheduler)
     shard_count = resolve_shard_count(shards)
     specs = blink_attack_specs(
         destination_prefix,
@@ -253,7 +248,7 @@ def packet_level_experiment(
         seed=seed,
     )
 
-    loop = EventLoop(scheduler=scheduler_name)
+    loop = EventLoop()
     if not with_trace:
         with_blink = False
     switch: Optional[BlinkSwitch] = None
@@ -372,7 +367,6 @@ def packet_level_experiment(
             seed=seed + 2,
             horizon=horizon,
             shards=shard_count,
-            scheduler=scheduler_name,
             adaptive_window=adaptive_window,
             preload=preload,
             with_trace=with_trace,
@@ -382,7 +376,6 @@ def packet_level_experiment(
         flows = len(specs)
         with obs.span(
             "blink.packet_level",
-            scheduler=scheduler_name,
             flows=flows,
             horizon=horizon,
             through_link=through_link,
@@ -428,7 +421,6 @@ def packet_level_experiment(
     if shard_count == 1:
         with obs.span(
             "blink.packet_level",
-            scheduler=scheduler_name,
             flows=flows,
             horizon=horizon,
             through_link=through_link,
@@ -461,7 +453,6 @@ def packet_level_experiment(
     malicious = sum(1 for s in specs if s.malicious)
     return PacketLevelReport(
         prefix=destination_prefix,
-        scheduler=scheduler_name,
         seed=seed,
         horizon=horizon,
         flows=flows,

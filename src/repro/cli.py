@@ -149,21 +149,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         if resolved_backend != DEFAULT_BACKEND:
             params["backend"] = resolved_backend
 
-    if args.scheduler or os.environ.get("REPRO_SCHEDULER"):
-        from repro.core.errors import ConfigurationError
-        from repro.netsim.events import SCHEDULER_ENV, resolve_scheduler_name
-
-        try:
-            resolved_scheduler = resolve_scheduler_name(args.scheduler)
-        except ConfigurationError as exc:
-            print(f"invalid scheduler: {exc}", file=sys.stderr)
-            return 2
-        # Exported rather than threaded through params: every EventLoop
-        # the attack (or its sweep workers) constructs resolves the
-        # backend from the environment, and results are byte-identical
-        # across schedulers so cache keys must not differ.
-        os.environ[SCHEDULER_ENV] = resolved_scheduler
-
     if args.shards is not None or os.environ.get("REPRO_SHARDS"):
         from repro.core.errors import ConfigurationError
         from repro.netsim.sharded import SHARDS_ENV, resolve_shard_count
@@ -173,7 +158,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         except ConfigurationError as exc:
             print(f"invalid shard count: {exc}", file=sys.stderr)
             return 2
-        # Exported like --scheduler: report hashes are byte-identical
+        # Exported rather than threaded through params: every engine
+        # the attack (or its sweep workers) builds resolves the count
+        # from the environment, and report hashes are byte-identical
         # across shard counts, so the knob must stay out of cache keys.
         os.environ[SHARDS_ENV] = str(resolved_shards)
 
@@ -779,14 +766,6 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"invalid kernel backend: {exc}", file=sys.stderr)
         return 2
-    if args.scheduler or os.environ.get("REPRO_SCHEDULER"):
-        from repro.netsim.events import SCHEDULER_ENV, resolve_scheduler_name
-
-        try:
-            os.environ[SCHEDULER_ENV] = resolve_scheduler_name(args.scheduler)
-        except ConfigurationError as exc:
-            print(f"invalid scheduler: {exc}", file=sys.stderr)
-            return 2
     if args.shards is not None or os.environ.get("REPRO_SHARDS"):
         from repro.netsim.sharded import SHARDS_ENV, resolve_shard_count
 
@@ -1139,13 +1118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_BACKEND, then python)",
     )
     run_parser.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default=None,
-        help="event-queue scheduler for packet-level simulations "
-        "(default: $REPRO_SCHEDULER, then heap)",
-    )
-    run_parser.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -1495,12 +1467,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="kernel backend (default: $REPRO_BACKEND, then python); "
         "goldens are pinned per backend",
-    )
-    scenarios_run.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default=None,
-        help="event-queue scheduler (default: $REPRO_SCHEDULER, then heap)",
     )
     scenarios_run.add_argument(
         "--shards",

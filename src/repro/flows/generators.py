@@ -392,7 +392,7 @@ def schedule_workload(
     :func:`flow_packet_schedule`, so byte-identical timing to
     :func:`emit_trace`) is bulk-loaded via
     :meth:`~repro.netsim.events.EventLoop.schedule_batch_at` — one
-    shared event, O(1) appends on the calendar scheduler.  Per-flow
+    shared event, O(1) appends on the calendar queue.  Per-flow
     RNG seeds come from :func:`flow_stream_seed` (flow identity, not
     spec order), preserving the :func:`emit_trace` RNG tree no matter
     when flows actually start or what else is scheduled around them.

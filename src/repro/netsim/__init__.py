@@ -5,14 +5,7 @@ topology/link/routing layers and a packet-forwarding :class:`Network`
 with MitM tap points and in-switch dataplane programs.
 """
 
-from repro.netsim.events import (
-    DEFAULT_SCHEDULER,
-    SCHEDULER_ENV,
-    Event,
-    EventLoop,
-    available_schedulers,
-    resolve_scheduler_name,
-)
+from repro.netsim.events import Event, EventLoop
 from repro.netsim.link import (
     ChainTap,
     DelayTap,
@@ -71,7 +64,6 @@ from repro.netsim.trace import (
 
 __all__ = [
     "ChainTap",
-    "DEFAULT_SCHEDULER",
     "DelayTap",
     "DropTap",
     "Event",
@@ -89,7 +81,6 @@ __all__ = [
     "RecordTap",
     "Route",
     "RoutingTable",
-    "SCHEDULER_ENV",
     "StaticRouter",
     "StreamingTraceAggregator",
     "StreamingTraceCollector",
@@ -100,7 +91,6 @@ __all__ = [
     "Trace",
     "TraceCollector",
     "TraceRecord",
-    "available_schedulers",
     "cluster_assignment",
     "clustered_random_topology",
     "dumbbell_topology",
@@ -114,7 +104,6 @@ __all__ = [
     "partition_out_lookaheads",
     "partition_weights",
     "random_topology",
-    "resolve_scheduler_name",
     "scaled_random_topology",
     "star_topology",
     "tcp_packet",

@@ -7,24 +7,18 @@ in :mod:`repro` that needs time — link transmission, TCP retransmission
 timers, Blink's eviction/reset timers, PCC monitor intervals — runs on
 this engine, replacing the mininet testbed the paper used.
 
-Two interchangeable scheduler backends sit behind the loop, selected
-the same way kernel backends are (explicit argument > the
-``REPRO_SCHEDULER`` environment variable > default):
+The queue is an indexed calendar queue (Brown 1988): pending events are
+hashed into fixed-width time buckets held in a dict, with a small
+integer heap ordering the non-empty buckets.  Most pushes are O(1)
+appends; each bucket is sorted lazily once, when the clock first
+reaches it.  At the queue depths the packet-level Blink experiments
+produce (tens to hundreds of thousands of pending events) this is
+several times faster than a binary heap.
 
-* ``heap`` — the original binary-heap scheduler.  O(log n) per
-  operation regardless of queue shape; the reference implementation.
-* ``calendar`` — an indexed calendar queue (Brown 1988): pending events
-  are hashed into fixed-width time buckets held in a dict, with a small
-  integer heap ordering the non-empty buckets.  Most pushes are O(1)
-  appends; each bucket is sorted lazily once, when the clock first
-  reaches it.  At the queue depths the packet-level Blink experiments
-  produce (tens to hundreds of thousands of pending events) this is
-  several times faster than the heap.
-
-Both schedulers order events by ``(time, insertion sequence)``, so any
-program observes the *same* callback order under either — this is
-load-bearing for reproducibility and is pinned by the cross-scheduler
-parity suite in ``tests/test_netsim_scheduler.py``.
+Events fire in ``(time, insertion sequence)`` order.  This is
+load-bearing for reproducibility and is pinned callback for callback
+against a plain ``heapq`` ordering oracle in
+``tests/test_netsim_scheduler.py``.
 """
 
 from __future__ import annotations
@@ -32,10 +26,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 import time as _wallclock
 from bisect import insort
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import (
@@ -52,14 +44,6 @@ EventCallback = Callable[[], None]
 #: How often (in processed events) the wall-clock watchdog is polled.
 _WALL_CHECK_STRIDE = 1024
 
-#: Environment variable consulted when no scheduler is named explicitly.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-
-#: Scheduler used when neither an argument nor the environment names one.
-DEFAULT_SCHEDULER = "heap"
-
-_SCHEDULER_NAMES = ("heap", "calendar")
-
 #: Default calendar-queue bucket width in simulated seconds.  Buckets
 #: are materialised only when an event lands in them (the index is a
 #: dict), so a narrow width costs nothing on sparse timelines.
@@ -67,23 +51,6 @@ DEFAULT_BUCKET_WIDTH = 0.01
 
 #: Upper bound on the per-loop free list of recycled transient events.
 _EVENT_POOL_LIMIT = 4096
-
-
-def available_schedulers() -> Tuple[str, ...]:
-    """Scheduler names accepted by :class:`EventLoop`."""
-    return _SCHEDULER_NAMES
-
-
-def resolve_scheduler_name(name: Optional[str] = None) -> str:
-    """Resolve a scheduler name: explicit arg > ``REPRO_SCHEDULER`` > default."""
-    if name is None:
-        name = os.environ.get(SCHEDULER_ENV, "").strip() or DEFAULT_SCHEDULER
-    name = name.strip().lower()
-    if name not in _SCHEDULER_NAMES:
-        raise ConfigurationError(
-            f"unknown scheduler {name!r}; available: {', '.join(_SCHEDULER_NAMES)}"
-        )
-    return name
 
 
 def suggest_bucket_width(
@@ -101,9 +68,10 @@ def suggest_bucket_width(
     where the mean gap would over-widen) scaled so a bucket holds about
     ``target_per_bucket`` events, clamped to ``[floor, ceiling]``.
 
-    A pure, deterministic function of the sample — and since both
-    schedulers are byte-identical by contract, the chosen width can
-    never change results, only the constant factor on queue operations.
+    A pure, deterministic function of the sample.  The queue fires
+    events in ``(time, sequence)`` order whatever its width, so the
+    chosen width can never change results, only the constant factor on
+    queue operations.
     """
     if target_per_bucket <= 0:
         raise ConfigurationError("target_per_bucket must be positive")
@@ -132,13 +100,6 @@ class TimerFault:
 
     def adjust(self, time: float, now: float, name: str) -> Optional[float]:
         return time
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    time: float
-    sequence: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -174,44 +135,6 @@ class Event:
         return f"<Event {self.name or self.callback!r} at {self.time:.6f}{flavor}>"
 
 
-class _HeapQueue:
-    """The original binary-heap scheduler (reference implementation)."""
-
-    name = "heap"
-
-    __slots__ = ("_heap", "_sequence")
-
-    def __init__(self) -> None:
-        self._heap: List[_QueueEntry] = []
-        self._sequence = itertools.count()
-
-    def push(self, time: float, event: Event) -> None:
-        heapq.heappush(self._heap, _QueueEntry(time, next(self._sequence), event))
-
-    def push_batch(self, times: Iterable[float], event: Event) -> None:
-        heap = self._heap
-        seq = self._sequence
-        for time in times:
-            heapq.heappush(heap, _QueueEntry(time, next(seq), event))
-
-    def pop_due(self, end_time: float) -> Optional[Tuple[float, Event]]:
-        heap = self._heap
-        if not heap or heap[0].time > end_time:
-            return None
-        entry = heapq.heappop(heap)
-        return entry.time, entry.event
-
-    def next_bound(self) -> Optional[float]:
-        heap = self._heap
-        if not heap:
-            return None
-        return heap[0].time
-
-    def events(self) -> Iterator[Event]:
-        for entry in self._heap:
-            yield entry.event
-
-
 class _CalendarQueue:
     """Indexed calendar queue: dict of time buckets + a heap of bucket keys.
 
@@ -228,8 +151,6 @@ class _CalendarQueue:
     scheduled at or after *now* — so once a bucket starts serving, no
     push can target an earlier bucket.
     """
-
-    name = "calendar"
 
     __slots__ = (
         "_scale",
@@ -343,45 +264,25 @@ class _CalendarQueue:
                 yield entry[2]
 
 
-def _make_queue(scheduler: str, bucket_width: Optional[float]):
-    if bucket_width is not None:
-        if scheduler != "calendar":
-            raise ConfigurationError(
-                f"bucket_width only applies to the calendar scheduler, "
-                f"not {scheduler!r}"
-            )
-        if not (bucket_width > 0 and math.isfinite(bucket_width)):
-            raise ConfigurationError(
-                f"bucket_width must be a positive finite number, got {bucket_width}"
-            )
-    if scheduler == "calendar":
-        return _CalendarQueue(
-            DEFAULT_BUCKET_WIDTH if bucket_width is None else bucket_width
-        )
-    return _HeapQueue()
-
-
 class EventLoop:
     """The simulation clock plus the event queue.
 
     Determinism: two events scheduled for the same time fire in the
     order they were scheduled.  This matters for reproducibility of the
     packet-level Blink experiments, where many packets share timestamps.
-    The guarantee holds under every scheduler backend; ``scheduler``
-    picks one explicitly, otherwise ``REPRO_SCHEDULER`` and finally the
-    heap default apply.
+    ``bucket_width`` sizes the calendar queue's time buckets (default
+    :data:`DEFAULT_BUCKET_WIDTH`); it changes speed, never results.
     """
 
     def __init__(
         self,
         start_time: float = 0.0,
-        scheduler: Optional[str] = None,
         bucket_width: Optional[float] = None,
     ):
         self._now = start_time
-        #: Resolved scheduler backend name ("heap" or "calendar").
-        self.scheduler = resolve_scheduler_name(scheduler)
-        self._queue = _make_queue(self.scheduler, bucket_width)
+        self._queue = _CalendarQueue(
+            DEFAULT_BUCKET_WIDTH if bucket_width is None else bucket_width
+        )
         self._running = False
         self._processed = 0
         self._event_pool: List[Event] = []
@@ -414,33 +315,27 @@ class EventLoop:
         the network built on it) already exists, so the shard-local
         calendar tuning pass cannot pick the width at construction
         time.  Retuning is only legal while the queue is empty — the
-        replacement would silently drop queued events otherwise — and
-        only for the calendar scheduler (the heap has no width).
+        replacement would silently drop queued events otherwise.
         """
-        if self.scheduler != "calendar":
-            raise ConfigurationError(
-                f"retune_bucket_width only applies to the calendar "
-                f"scheduler, not {self.scheduler!r}"
-            )
         if self._queue.next_bound() is not None:
             raise SchedulingError(
                 "cannot retune bucket width with events pending",
                 event_time=self._queue.next_bound(),
                 now=self._now,
             )
-        self._queue = _make_queue(self.scheduler, bucket_width)
+        self._queue = _CalendarQueue(bucket_width)
 
     def next_event_bound(self) -> Optional[float]:
         """A conservative lower bound on the next pending event's time.
 
-        None when the queue is empty.  The bound is *not* exact: the
-        heap may report a cancelled event's time — but it is never
-        later than the true next firing, which is what the sharded
-        engine's null-message fast-forward needs (a shard promising "I
-        have nothing before T" must never under-promise).  The calendar
-        queue's bound is the exact minimum over its earliest bucket:
-        the adaptive-window synchroniser turns bound leads directly
-        into window width, so a quantised bound costs real speedup.
+        None when the queue is empty.  The bound is the exact minimum
+        over the earliest bucket, cancelled entries included — so it may
+        be earlier than the true next firing, but never later, which is
+        what the sharded engine's null-message fast-forward needs (a
+        shard promising "I have nothing before T" must never
+        under-promise).  It is not quantised to the bucket floor: the
+        adaptive-window synchroniser turns bound leads directly into
+        window width, so a quantised bound costs real speedup.
         """
         return self._queue.next_bound()
 
@@ -528,8 +423,8 @@ class EventLoop:
         firing that has not happened yet.  The fault hook is consulted
         per firing time (individual firings may be skewed or dropped).
         This is the fast path for flow generators emitting a whole
-        flow's packet schedule at once: the calendar scheduler absorbs
-        the batch as plain bucket appends.
+        flow's packet schedule at once: the calendar queue absorbs the
+        batch as plain bucket appends.
         """
         event = Event(self._now, callback, name=name)
         if not times:
@@ -669,14 +564,13 @@ class EventLoop:
                         wall_s=wall,
                         events_per_s=processed_here / wall if wall > 0 else None,
                         queue_depth=depth,
-                        scheduler=self.scheduler,
                     )
                 if registry is not None:
                     # Counter/histogram names under netsim.* are
                     # deterministic per seed except the *_s wall
                     # timings (excluded from the determinism pin).
                     registry.inc("netsim.runs")
-                    registry.inc(f"netsim.events.{self.scheduler}", processed_here)
+                    registry.inc("netsim.events.calendar", processed_here)
                     registry.observe("netsim.run_events", processed_here)
                     registry.observe("netsim.run_wall_s", wall)
                     registry.gauge_set("netsim.queue_depth", depth)

@@ -1,13 +1,15 @@
 """Internet-scale sharded forwarding: multiprocess full-network coordinator.
 
-This module promotes the in-process :class:`~repro.netsim.sharded.ShardedNetworkSim`
-windowing algebra to forked worker processes: each shard owns a full
-forwarding :class:`~repro.netsim.network.Network` partition (routing
-tables, multi-hop paths, TTL/ICMP handling, link faults) and an
-:class:`~repro.netsim.events.EventLoop`, advanced in conservative
-lookahead windows by a coordinator that exchanges *boundary packets* —
-packets leaving one shard over a cut link — as kernels-packed
-struct-of-arrays records over ``multiprocessing`` pipes.
+A forwarding :class:`~repro.netsim.network.Network` is split over
+shards along a node partition: each shard owns a full forwarding
+partition (routing tables, multi-hop paths, TTL/ICMP handling, link
+faults) and an :class:`~repro.netsim.events.EventLoop`, advanced in
+conservative lookahead windows by a coordinator that exchanges
+*boundary packets* — packets leaving one shard over a cut link — as
+kernels-packed struct-of-arrays records.  The shards run in forked
+worker processes talking over ``multiprocessing`` pipes, or in-process
+with the identical windowing and admission order
+(``processes=False``).
 
 Architecture
 ============
@@ -63,7 +65,7 @@ Topology generators jitter every link delay deterministically
 :func:`~repro.netsim.topology.scaled_random_topology`), keeping
 same-timestamp ties measure-zero, so the record *set* — and therefore
 ``report_hash`` — is byte-identical between the monolithic run and any
-shard count, scheduler, or kernel backend.  The parity grid in
+shard count, window policy, or kernel backend.  The parity grid in
 ``tests/test_netsim_forwarding.py`` pins exactly this.
 """
 
@@ -82,7 +84,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.process import consume_crash_flag
 from repro.flows.flow import FiveTuple
 from repro.flows.generators import FlowSpec, flow_packet_schedule, flow_stream_seed
-from repro.netsim.events import EventLoop, resolve_scheduler_name, suggest_bucket_width
+from repro.netsim.events import EventLoop, suggest_bucket_width
 from repro.netsim.network import Network
 from repro.netsim.packet import (
     IcmpHeader,
@@ -301,13 +303,12 @@ class _ShardState:
         endpoints: Set[str],
         router: StaticRouter,
         seed: int,
-        scheduler: Optional[str],
         default_queue_packets: int,
     ):
         self.shard = shard
         self.nodes = list(nodes)
         self.index = {name: k for k, name in enumerate(self.nodes)}
-        self.loop = EventLoop(scheduler=scheduler)
+        self.loop = EventLoop()
         self.outbox: List[Tuple[float, str, Packet]] = []
         self.records: List[Tuple[float, float, float, float]] = []
         self.delivered = [0]
@@ -490,11 +491,7 @@ def _forwarding_shard_worker(conn, state: _ShardState, config: Dict[str, object]
         # so runs with pre-scheduled events (fault transitions) keep
         # the default width.
         bucket_width = None
-        if (
-            loop.scheduler == "calendar"
-            and len(table) >= 2
-            and loop.next_event_bound() is None
-        ):
+        if len(table) >= 2 and loop.next_event_bound() is None:
             sample = [spec.start for _fid, spec in table[:_TUNE_SAMPLE_CAP]]
             bucket_width = suggest_bucket_width(sample)
             loop.retune_bucket_width(bucket_width)
@@ -570,7 +567,7 @@ class ForwardingReport:
 
     ``report_hash`` is the sha256 of the canonically sorted delivery
     records — a pure function of the simulated *physics*, byte-equal
-    across shard counts, schedulers, kernel backends and window
+    across shard counts, kernel backends and window
     policies.  Everything else describes the execution.
     """
 
@@ -579,7 +576,6 @@ class ForwardingReport:
     delivered: int
     events: int
     shards: int
-    scheduler: str
     adaptive_window: bool
     windows: int = 0
     fast_forwards: int = 0
@@ -608,11 +604,12 @@ def _hash_deliveries(columns: Sequence[Sequence[float]]) -> str:
 class ShardedForwardingSim(ShardPipeMixin):
     """Multiprocess coordinator for a partitioned forwarding network.
 
-    The promotion of :class:`~repro.netsim.sharded.ShardedNetworkSim`
-    to forked workers: same partitioning, same conservative-window
-    algebra, but each shard's network runs in its own process and
+    The topology is split by
+    :func:`~repro.netsim.topology.partition_nodes` (or an explicit
+    ``assignment``); each shard's network runs in its own process and
     boundary packets travel as SoA records over pipes (see the module
-    docstring for the full safety argument).
+    docstring for the full safety argument).  A partition whose cut
+    includes a zero-delay link has no lookahead and is rejected.
 
     ``processes=False`` drives the identical shard states in-process —
     the fallback for platforms without ``fork``, and a debugging aid;
@@ -625,7 +622,6 @@ class ShardedForwardingSim(ShardPipeMixin):
         shards: int,
         *,
         seed: int = 0,
-        scheduler: Optional[str] = None,
         partition_seed: int = 0,
         assignment: Optional[Dict[str, int]] = None,
         adaptive_window: Optional[bool] = None,
@@ -645,7 +641,6 @@ class ShardedForwardingSim(ShardPipeMixin):
         self.topology = topology
         self.shards = resolve_shard_count(shards)
         self.seed = seed
-        self.scheduler = resolve_scheduler_name(scheduler)
         self.payload_size = payload_size
         self.max_events = max_events
         self.crash_flag = crash_flag
@@ -709,7 +704,6 @@ class ShardedForwardingSim(ShardPipeMixin):
                 self.endpoints,
                 router,
                 seed,
-                self.scheduler,
                 default_queue_packets,
             )
             _install_fault_plan(fault_plan, state.net)
@@ -740,7 +734,6 @@ class ShardedForwardingSim(ShardPipeMixin):
             delivered=0,
             events=0,
             shards=self.shards,
-            scheduler=self.scheduler,
             adaptive_window=self.adaptive_enabled,
             lookahead=self.lookahead,
             per_shard_events=[0] * self.shards,
@@ -1012,7 +1005,6 @@ def forwarding_experiment(
     *,
     seed: int = 0,
     shards: Optional[int] = None,
-    scheduler: Optional[str] = None,
     partition_seed: int = 0,
     assignment: Optional[Dict[str, int]] = None,
     adaptive_window: Optional[bool] = None,
@@ -1042,7 +1034,6 @@ def forwarding_experiment(
             topology,
             count,
             seed=seed,
-            scheduler=scheduler,
             partition_seed=partition_seed,
             assignment=assignment,
             adaptive_window=adaptive_window,
@@ -1056,7 +1047,6 @@ def forwarding_experiment(
         )
         return sim.run(flows, horizon)
 
-    scheduler_name = resolve_scheduler_name(scheduler)
     nodes = sorted(topology.nodes())
     endpoint_set = set(endpoints) if endpoints is not None else set(nodes)
     unknown = endpoint_set - set(nodes)
@@ -1065,7 +1055,7 @@ def forwarding_experiment(
     router = StaticRouter(topology)
     router.compute(destinations=sorted(endpoint_set))
     started = _wallclock.perf_counter()
-    loop = EventLoop(scheduler=scheduler_name)
+    loop = EventLoop()
     net = Network(
         topology,
         loop=loop,
@@ -1117,7 +1107,6 @@ def forwarding_experiment(
         delivered=len(delivery_columns[0]),
         events=events,
         shards=1,
-        scheduler=scheduler_name,
         adaptive_window=resolve_adaptive_window(adaptive_window),
         windows=1,
         wall_seconds=wall,

@@ -50,13 +50,12 @@ class Network:
         seed: int = 0,
         default_queue_packets: int = 1000,
         metrics: Optional[MetricRegistry] = None,
-        scheduler: Optional[str] = None,
         local_nodes: "Optional[set] | None" = None,
         remote_egress: Optional[RemoteEgress] = None,
         router: Optional[StaticRouter] = None,
     ):
         self.topology = topology
-        self.loop = loop or EventLoop(scheduler=scheduler)
+        self.loop = loop or EventLoop()
         self.metrics = metrics or MetricRegistry()
         if router is not None:
             # A precomputed (possibly destination-restricted) router,

@@ -12,17 +12,19 @@ from repro.netsim.topology import (
     line_topology,
     triangle_with_hosts,
 )
+from tests.test_netsim_scheduler import QUEUES, make_loop
 
 
-@pytest.fixture(params=["heap", "calendar"])
+@pytest.fixture(params=QUEUES)
 def loop(request) -> EventLoop:
-    """An event loop, parametrized over both scheduler backends.
+    """An event loop on the calendar queue and on the heap oracle.
 
-    Every test that drives a loop directly therefore runs twice —
-    cheap, broad parity coverage on top of the dedicated equivalence
-    suite in ``test_netsim_scheduler.py``.
+    Every test that drives a loop directly therefore runs twice: once
+    on the production queue and once on the test-only ordering oracle
+    from ``test_netsim_scheduler.py`` — cheap, broad parity coverage on
+    top of that file's dedicated equivalence suite.
     """
-    return EventLoop(scheduler=request.param)
+    return make_loop(request.param)
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 """The event-driven packet-level Blink driver and its determinism.
 
-The acceptance property of the scheduler work: the packet-level Blink
+The acceptance property of the event queue: the packet-level Blink
 experiment produces *byte-identical* results (canonical report hashes)
-under the heap and calendar schedulers, across a grid of seeds and
-parameters — workload shape, link mode, fault gates and all.
+on the calendar queue and on the test-only heap ordering oracle, across
+a grid of seeds and parameters — workload shape, link mode, fault gates
+and all — and at every shard count.
 """
 
 from __future__ import annotations
@@ -20,22 +21,25 @@ from repro.blink.packet_level import (
 from repro.faults import FaultPlan
 from repro.faults.injectors import TelemetryFault
 from repro.flows.generators import emit_trace, iter_flow_schedules
+from tests.test_netsim_scheduler import QUEUES, installed_queue
 
 # Small-but-nontrivial scale: ~45k packets, a handful of resets.
 SMALL = dict(horizon=90.0, legitimate_flows=120, malicious_flows=7)
 
 
-def small_run(**overrides) -> PacketLevelReport:
+def small_run(queue: str = "calendar", **overrides) -> PacketLevelReport:
+    """One small experiment on ``queue`` (see :func:`installed_queue`)."""
     params = dict(SMALL)
     params.update(overrides)
-    return packet_level_experiment(**params)
+    with installed_queue(queue):
+        return packet_level_experiment(**params)
 
 
 class TestCrossSchedulerDeterminism:
     @pytest.mark.parametrize("seed", [0, 1, 42])
     def test_report_hash_identical_across_schedulers(self, seed):
-        heap = small_run(seed=seed, scheduler="heap")
-        calendar = small_run(seed=seed, scheduler="calendar")
+        heap = small_run("heap", seed=seed)
+        calendar = small_run("calendar", seed=seed)
         assert heap.report_hash == calendar.report_hash
         assert heap.packets == calendar.packets > 10_000
         assert heap.events == calendar.events
@@ -55,45 +59,40 @@ class TestCrossSchedulerDeterminism:
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )
     def test_parameter_grid_parity(self, overrides):
-        heap = small_run(seed=3, scheduler="heap", **overrides)
-        calendar = small_run(seed=3, scheduler="calendar", **overrides)
+        heap = small_run("heap", seed=3, **overrides)
+        calendar = small_run("calendar", seed=3, **overrides)
         assert heap.report_hash == calendar.report_hash
 
     def test_parity_under_telemetry_fault(self):
         reports = {}
-        for scheduler in ("heap", "calendar"):
+        for queue in QUEUES:
             plan = FaultPlan.parse(
                 "telemetry-drop:p=0.05;telemetry-garble:p=0.05,scale=1.0",
                 seed=9,
             )
-            reports[scheduler] = small_run(
-                seed=1, scheduler=scheduler, fault=TelemetryFault(plan, role="blink")
+            reports[queue] = small_run(
+                queue, seed=1, fault=TelemetryFault(plan, role="blink")
             )
         assert reports["heap"].report_hash == reports["calendar"].report_hash
 
     def test_different_seeds_differ(self):
         assert small_run(seed=0).report_hash != small_run(seed=1).report_hash
 
-    def test_scheduler_not_part_of_hash(self):
-        report = small_run(seed=0, scheduler="calendar")
-        assert "calendar" not in str(sorted(report.canonical().items()))
-        assert report.scheduler == "calendar"
-
 
 @functools.lru_cache(maxsize=None)
-def _single_shard_baseline(scheduler: str, **overrides) -> PacketLevelReport:
-    return small_run(seed=3, scheduler=scheduler, **overrides)
+def _single_shard_baseline(queue: str, **overrides) -> PacketLevelReport:
+    return small_run(queue, seed=3, **overrides)
 
 
 class TestShardedDeterminism:
     """The sharded engine's contract: byte-identical reports at every
-    shard count, across schedulers, kernel backends and driver modes."""
+    shard count, on both queues, kernel backends and driver modes."""
 
     @pytest.mark.parametrize("shards", [2, 4, 8])
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_shard_grid_parity(self, shards, scheduler):
-        base = _single_shard_baseline(scheduler)
-        run = small_run(seed=3, scheduler=scheduler, shards=shards)
+    @pytest.mark.parametrize("queue", QUEUES)
+    def test_shard_grid_parity(self, shards, queue):
+        base = _single_shard_baseline(queue)
+        run = small_run(queue, seed=3, shards=shards)
         assert run.report_hash == base.report_hash
         assert run.packets == base.packets
         assert run.events == base.events
@@ -101,9 +100,9 @@ class TestShardedDeterminism:
 
     def test_numpy_backend_parity(self, monkeypatch):
         pytest.importorskip("numpy")
-        base = _single_shard_baseline("heap")
+        base = _single_shard_baseline("calendar")
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        run = small_run(seed=3, scheduler="heap", shards=2)
+        run = small_run(seed=3, shards=2)
         assert run.report_hash == base.report_hash
 
     @pytest.mark.parametrize(
@@ -117,8 +116,8 @@ class TestShardedDeterminism:
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )
     def test_mode_grid_parity(self, overrides):
-        base = _single_shard_baseline("heap", **overrides)
-        run = small_run(seed=3, scheduler="heap", shards=2, **overrides)
+        base = _single_shard_baseline("calendar", **overrides)
+        run = small_run(seed=3, shards=2, **overrides)
         assert run.report_hash == base.report_hash
 
     def test_parity_under_telemetry_fault(self):
@@ -134,10 +133,10 @@ class TestShardedDeterminism:
         assert reports[1].report_hash == reports[2].report_hash
 
     def test_shards_not_part_of_hash(self):
-        run = small_run(seed=3, scheduler="heap", shards=4)
+        run = small_run(seed=3, shards=4)
         assert run.shards == 4
         assert "shards" not in dict(run.canonical())
-        assert run.report_hash == _single_shard_baseline("heap").report_hash
+        assert run.report_hash == _single_shard_baseline("calendar").report_hash
 
     def test_env_var_resolves_shard_count(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARDS", "2")

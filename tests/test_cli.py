@@ -258,20 +258,6 @@ class TestSweepCommands:
 
 
 class TestSchedulerAndProfile:
-    def test_run_with_scheduler_exports_env(self, capsys, monkeypatch):
-        import os
-
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        code = main(["run", "ron-probe-divert", "--scheduler", "calendar"])
-        assert code == 0
-        assert os.environ.get("REPRO_SCHEDULER") == "calendar"
-
-    def test_run_with_bad_scheduler_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "bogus")
-        code = main(["run", "ron-probe-divert"])
-        assert code == 2
-        assert "invalid scheduler" in capsys.readouterr().err
-
     def test_run_profile_writes_pstats_and_prints_hotspots(
         self, capsys, tmp_path
     ):

@@ -35,7 +35,7 @@ class TestNetsimRollup:
         with om.activate(registry):
             loop.run_until(5.0)
         assert registry.counter("netsim.runs") == 1
-        assert registry.counter(f"netsim.events.{loop.scheduler}") == 3
+        assert registry.counter("netsim.events.calendar") == 3
         events_hist = registry.histograms["netsim.run_events"]
         assert events_hist.count == 1
         assert events_hist.total == pytest.approx(3.0)

@@ -2,14 +2,16 @@
 
 The tentpole contract: a partitioned forwarding :class:`Network` run
 across forked shard workers must reproduce the monolithic reference's
-``report_hash`` byte-for-byte — across shard counts, schedulers,
-window policies and fault plans.  The grid here drives the in-process
+``report_hash`` byte-for-byte — across shard counts, event queues
+(production calendar and the test-only heap oracle), window policies
+and fault plans.  The grid here drives the in-process
 coordinator path (identical windowing and admission order to the
 forked path, minus the fork) so it stays cheap enough for tier-1; one
 dedicated case pins forked-vs-in-process equality where ``fork``
 exists.  Alongside the grid: the SoA flow/boundary codecs, the
-endpoint re-homing stream, the adaptive-window controller, and the
-explicit-assignment validation.
+endpoint re-homing stream, the adaptive-window controller, the
+explicit-assignment validation, the quiet-tail fast-forward, and the
+forked path's crash → degrade → identical-result drill.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import os
 
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, ShardCrashError, SimulationError
 from repro.faults.plan import FaultPlan
 from repro.flows.flow import FiveTuple
 from repro.flows.generators import FlowSpec
@@ -37,13 +39,17 @@ from repro.netsim.packet import IcmpType, icmp_time_exceeded, tcp_packet
 from repro.netsim.sharded import (
     ADAPTIVE_WINDOW_ENV,
     AdaptiveWindow,
+    degrade_to_single_shard,
     resolve_adaptive_window,
 )
 from repro.netsim.topology import (
+    Topology,
     cluster_assignment,
     clustered_random_topology,
+    line_topology,
     partition_lookahead,
 )
+from tests.test_netsim_scheduler import QUEUES, installed_queue
 
 HORIZON = 3.0
 SEED = 11
@@ -103,20 +109,20 @@ class TestForwardingParityGrid:
         assert reference_report.delivered > 200
 
     @pytest.mark.parametrize("shards", [2, 4, 8])
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    @pytest.mark.parametrize("queue", QUEUES)
     def test_sharded_matches_monolithic(
-        self, grid_topology, reference_report, shards, scheduler
+        self, grid_topology, reference_report, shards, queue
     ):
-        report = forwarding_experiment(
-            grid_topology,
-            _grid_flows(grid_topology),
-            HORIZON,
-            seed=SEED,
-            shards=shards,
-            scheduler=scheduler,
-            endpoints=_grid_endpoints(grid_topology),
-            processes=False,
-        )
+        with installed_queue(queue):
+            report = forwarding_experiment(
+                grid_topology,
+                _grid_flows(grid_topology),
+                HORIZON,
+                seed=SEED,
+                shards=shards,
+                endpoints=_grid_endpoints(grid_topology),
+                processes=False,
+            )
         assert report.shards == shards
         assert report.report_hash == reference_report.report_hash
         assert report.delivered == reference_report.delivered
@@ -216,6 +222,11 @@ class TestForwardingValidation:
         with pytest.raises(ConfigurationError, match="2 shards"):
             ShardedForwardingSim(grid_topology, 1)
 
+    def test_zero_delay_cut_rejected(self):
+        topo = line_topology(4, delay_s=0.0)
+        with pytest.raises(ConfigurationError, match="zero delay"):
+            ShardedForwardingSim(topo, 2, processes=False)
+
     def test_unknown_endpoint_rejected(self, grid_topology):
         with pytest.raises(ConfigurationError, match="unknown endpoint"):
             forwarding_experiment(
@@ -246,6 +257,95 @@ class TestForwardingValidation:
         )
         with pytest.raises(ConfigurationError, match="not a topology node"):
             forwarding_experiment(grid_topology, [spec], 1.0, shards=1)
+
+
+def _chain_topology():
+    """Five hops, ``hsrc - a - b - c - d - hdst``, each with its own delay."""
+    topo = Topology("chain")
+    for name in ("a", "b", "c", "d"):
+        topo.add_node(name)
+    topo.add_node("hsrc", role="host")
+    topo.add_node("hdst", role="host")
+    topo.add_link("hsrc", "a", delay_s=0.0007)
+    topo.add_link("a", "b", delay_s=0.002)
+    topo.add_link("b", "c", delay_s=0.0031)
+    topo.add_link("c", "d", delay_s=0.0043)
+    topo.add_link("d", "hdst", delay_s=0.0009)
+    return topo
+
+
+class TestQuietTail:
+    def test_fast_forward_over_quiet_tail(self):
+        flows = [
+            FlowSpec(
+                flow=FiveTuple("hsrc", "hdst", 1000 + k, 80, 6),
+                start=0.1 * k,
+                duration=0.02,
+                packet_rate=200.0,
+            )
+            for k in range(3)
+        ]
+        sim = ShardedForwardingSim(_chain_topology(), 2, seed=1, processes=False)
+        report = sim.run(flows, 1.0)
+        assert report.delivered > 0
+        # ~60 ms of traffic against a 1 s horizon at a few-ms lookahead:
+        # without fast-forward this would take hundreds of windows.
+        assert report.fast_forwards > 0
+        assert report.windows < 200
+        # Fewer barriers than fixed stepping over the flow-start span.
+        assert report.windows < 0.2 / sim.lookahead
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class TestForwardingShardCrash:
+    """The forked forwarding engine's crash -> degrade -> same-hash drill."""
+
+    @staticmethod
+    def _run(topology, shards, crash_flag=None):
+        return forwarding_experiment(
+            topology,
+            _grid_flows(topology),
+            HORIZON,
+            seed=SEED,
+            shards=shards,
+            endpoints=_grid_endpoints(topology),
+            crash_flag=crash_flag,
+        )
+
+    def test_killed_worker_fails_fast_with_context(self, grid_topology, tmp_path):
+        flag = tmp_path / "crash"
+        flag.write_text("")
+        with pytest.raises(ShardCrashError) as excinfo:
+            self._run(grid_topology, 2, crash_flag=str(flag))
+        err = excinfo.value
+        assert isinstance(err, SimulationError)
+        assert err.sim_time is not None
+        assert err.shard in (0, 1)
+        assert not flag.exists()  # the flag was consumed, not leaked
+
+    def test_resilient_runner_degrades_to_single_shard(
+        self, grid_topology, reference_report, tmp_path
+    ):
+        from repro.runner.resilient import ResilientRunner, RetryPolicy
+
+        flag = tmp_path / "crash"
+        flag.write_text("")
+        runner = ResilientRunner(
+            retry=RetryPolicy(max_retries=1, backoff_base_s=0.0),
+            sleep=lambda s: None,
+        )
+        outcome = runner.run(
+            lambda: self._run(grid_topology, 2, crash_flag=str(flag)),
+            label="chaos",
+            degrade=degrade_to_single_shard(
+                lambda shards: self._run(grid_topology, shards)
+            ),
+        )
+        assert outcome.succeeded
+        assert outcome.retries == 1
+        assert outcome.attempts[0].error_type == "ShardCrashError"
+        assert outcome.result.shards == 1
+        assert outcome.result.report_hash == reference_report.report_hash
 
 
 class TestAdaptiveWindowController:

@@ -261,8 +261,8 @@ class TestRunScenario:
 
     def test_shard_count_stays_out_of_cache_keys(self, tmp_path, monkeypatch):
         """A cached 1-shard result must satisfy a 4-shard invocation:
-        shard count is an execution knob (like the scheduler), never
-        part of a cell's identity."""
+        shard count is an execution knob, never part of a cell's
+        identity."""
         from repro.runner import ResultCache
 
         monkeypatch.delenv("REPRO_SHARDS", raising=False)

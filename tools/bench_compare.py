@@ -14,9 +14,9 @@ Two modes, combinable in one invocation:
 
 * Parity gate (``--against`` + ``--require-equal KEY``): for every
   bench matched on ``name`` whose records carry ``extra_info[KEY]`` on
-  both sides, the values must be identical — how CI asserts that the
-  calendar and heap schedulers produced byte-identical experiment
-  results (``--require-equal report_hash``).  Repeatable.
+  both sides, the values must be identical — how CI asserts that
+  different shard counts produced byte-identical experiment results
+  (``--require-equal report_hash``).  Repeatable.
 
 * Metrics-overhead gate (``--against`` + ``--metrics-budget``): the
   current file is a *metrics-on* run and ``--against`` the matching
