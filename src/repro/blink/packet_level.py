@@ -260,13 +260,13 @@ def packet_level_experiment(
             retransmission_window=retransmission_window,
         )
         session = switch.replay_session(sample_interval=sample_interval)
+        sink = session.feed
+        if fault is not None:
 
-        def sink(record: TraceRecord) -> None:
-            if fault is not None:
+            def sink(record: TraceRecord) -> None:
                 record = fault.degrade_record(record)  # type: ignore[attr-defined]
-                if record is None:
-                    return
-            session.feed(record)
+                if record is not None:
+                    session.feed(record)
 
     else:
         sink = None  # type: ignore[assignment]

@@ -92,9 +92,9 @@ class BlinkPrefixMonitor(DataDrivenSystem):
             eviction_timeout=eviction_timeout,
             reset_interval=reset_interval,
             hash_seed=hash_seed,
+            retransmission_window=retransmission_window,
         )
         self.failure_threshold = max(1, int(cells * failure_threshold_fraction))
-        self.retransmission_window = retransmission_window
         self.reroute_holddown = reroute_holddown
         # Next-hop probing (Blink NSDI'19, §4.4): instead of blindly
         # committing to one backup, spread the monitored flows over the
@@ -108,6 +108,11 @@ class BlinkPrefixMonitor(DataDrivenSystem):
         self._last_reroute_time = -float("inf")
         self._now = 0.0
 
+    @property
+    def retransmission_window(self) -> float:
+        """Seconds a retransmission counts toward the failure vote."""
+        return self.selector.retransmission_window
+
     # -- DataDrivenSystem interface ------------------------------------------
 
     def observe(self, signal: Signal) -> List[Decision]:
@@ -116,18 +121,35 @@ class BlinkPrefixMonitor(DataDrivenSystem):
         info = signal.value
         if not isinstance(info, dict) or "flow" not in info:
             raise ConfigurationError("tcp.packet signal needs a dict with a 'flow'")
-        self._now = signal.time
-        self.selector.observe(
-            flow=info["flow"],
-            now=signal.time,
-            is_retransmission=bool(info.get("retransmission", False)),
-            is_fin_or_rst=bool(info.get("fin", False)),
-            seq=info.get("seq"),
-            malicious_ground_truth=bool(info.get("malicious", False)),
+        return self.observe_packet(
+            info["flow"],
+            signal.time,
+            bool(info.get("retransmission", False)),
+            bool(info.get("fin", False)),
+            info.get("seq"),
+            bool(info.get("malicious", False)),
         )
-        if self.probing:
-            return self._maybe_finish_probe(signal.time)
-        return self._maybe_infer_failure(signal.time)
+
+    def observe_packet(
+        self,
+        flow: FiveTuple,
+        now: float,
+        retransmission: bool = False,
+        fin: bool = False,
+        seq: Optional[int] = None,
+        malicious: bool = False,
+    ) -> List[Decision]:
+        """Process one packet of this prefix; returns any reroute decisions.
+
+        The per-packet entry point: :meth:`observe` unpacks a
+        ``tcp.packet`` signal into these arguments, and the switch calls
+        it directly when no supervisor wraps the monitor.
+        """
+        self._now = now
+        self.selector.observe(flow, now, retransmission, fin, seq, malicious)
+        if self._probe_start is not None:
+            return self._maybe_finish_probe(now)
+        return self._maybe_infer_failure(now)
 
     def state(self) -> SystemState:
         return SystemState(
@@ -135,9 +157,7 @@ class BlinkPrefixMonitor(DataDrivenSystem):
             variables={
                 "prefix": self.prefix,
                 "monitored": self.selector.occupied_count(self._now),
-                "retransmitting": self.selector.retransmitting_count(
-                    self._now, self.retransmission_window
-                ),
+                "retransmitting": self.selector.retransmitting_count(self._now),
                 "threshold": self.failure_threshold,
                 "active_next_hop": self.active_next_hop,
                 "reroutes": len(self.reroutes),
@@ -150,6 +170,7 @@ class BlinkPrefixMonitor(DataDrivenSystem):
             eviction_timeout=self.selector.eviction_timeout,
             reset_interval=self.selector.reset_interval,
             hash_seed=self.selector.hash_seed,
+            retransmission_window=self.selector.retransmission_window,
         )
         self.reroutes.clear()
         self._last_reroute_time = -float("inf")
@@ -167,7 +188,7 @@ class BlinkPrefixMonitor(DataDrivenSystem):
         """During a probe, which candidate this flow's cell tests."""
         if not self.probing or not self._probe_candidates:
             return None
-        index = flow.cell_index(len(self.selector.cells), self.selector.hash_seed)
+        index = self.selector.index_for(flow)
         return self._probe_candidates[index % len(self._probe_candidates)]
 
     def _begin_probe(self, now: float) -> None:
@@ -202,7 +223,6 @@ class BlinkPrefixMonitor(DataDrivenSystem):
             candidate = self._probe_candidates[index % len(self._probe_candidates)]
             counts[candidate] += 1
         winner = min(self._probe_candidates, key=lambda c: counts[c])
-        probe_start = self._probe_start
         self._probe_start = None
         self._probe_candidates = []
         return self._commit_reroute(now, winner, note_counts=counts)
@@ -210,21 +230,19 @@ class BlinkPrefixMonitor(DataDrivenSystem):
     def _maybe_infer_failure(self, now: float) -> List[Decision]:
         if now - self._last_reroute_time < self.reroute_holddown:
             return []
-        retransmitting = self.selector.retransmitting_count(now, self.retransmission_window)
+        retransmitting = self.selector.retransmitting_count(now)
         if retransmitting < self.failure_threshold:
             return []
         if self.probe_backups and len(self.next_hops) > 2:
             # Multiple backups: probe before committing.
             self._begin_probe(now)
             return []
-        old = self.active_next_hop
-        new = self._choose_backup()
-        return self._commit_reroute(now, new)
+        return self._commit_reroute(now, self._choose_backup())
 
     def _commit_reroute(
         self, now: float, new: Optional[str], note_counts: Optional[Dict[str, int]] = None
     ) -> List[Decision]:
-        retransmitting = self.selector.retransmitting_count(now, self.retransmission_window)
+        retransmitting = self.selector.retransmitting_count(now)
         event = RerouteEvent(
             time=now,
             prefix=self.prefix,
@@ -321,28 +339,59 @@ class BlinkSwitch:
         prefix = self.prefix_for(destination)
         return self.monitors[prefix] if prefix is not None else None
 
+    def _drive(
+        self,
+        prefix: str,
+        flow: FiveTuple,
+        now: float,
+        retransmission: bool,
+        fin: bool,
+        seq: Optional[int],
+        malicious: bool,
+    ) -> List[Decision]:
+        """Feed one packet to ``prefix``'s driver.
+
+        An unsupervised monitor takes the packet's fields directly; a
+        supervisor gets them as the ``tcp.packet`` signal it audits.
+        """
+        monitor = self.monitors[prefix]
+        driver = self.drivers[prefix]
+        if driver is monitor:
+            return monitor.observe_packet(flow, now, retransmission, fin, seq, malicious)
+        value: Dict[str, object] = {"flow": flow, "retransmission": retransmission}
+        if seq is not None:
+            value["seq"] = seq
+        value["fin"] = fin
+        value["malicious"] = malicious
+        return driver.observe(
+            Signal(
+                kind=SignalKind.HEADER_FIELD,
+                name="tcp.packet",
+                value=value,
+                time=now,
+                source=flow,
+            )
+        )
+
     # -- trace replay (Fig. 2 experiments) ------------------------------------
 
     def replay_record(self, record: TraceRecord) -> List[Decision]:
-        prefix = self.prefix_for(record.flow.dst)
+        flow = record.flow
+        prefix = self.prefix_for(flow.dst)
         if prefix is None:
             return []
-        signal = Signal(
-            kind=SignalKind.HEADER_FIELD,
-            name="tcp.packet",
-            value={
-                "flow": record.flow,
-                "retransmission": record.is_retransmission,
-                "fin": record.is_fin_or_rst,
-                "malicious": record.malicious_ground_truth,
-            },
-            time=record.time,
-            source=record.flow,
+        decisions = self._drive(
+            prefix,
+            flow,
+            record.time,
+            record.is_retransmission,
+            record.is_fin_or_rst,
+            None,
+            record.malicious_ground_truth,
         )
-        decisions = self.drivers[prefix].observe(signal)
         if decisions:
             self.metrics.counter("blink.decisions_released").increment(len(decisions))
-        self.decisions.extend(decisions)
+            self.decisions.extend(decisions)
         return decisions
 
     def replay_session(self, sample_interval: float = 1.0) -> "TraceReplaySession":
@@ -403,27 +452,17 @@ class BlinkSwitch:
         if prefix is None:
             return None
         monitor = self.monitors[prefix]
+        flow = packet.five_tuple
         fin = bool(packet.tcp.flags & (TcpFlags.FIN | TcpFlags.RST))
-        signal = Signal(
-            kind=SignalKind.HEADER_FIELD,
-            name="tcp.packet",
-            value={
-                "flow": packet.five_tuple,
-                # Network mode infers retransmissions from duplicate
-                # sequence numbers, like the real P4 pipeline.
-                "retransmission": False,
-                "seq": packet.tcp.seq,
-                "fin": fin,
-                "malicious": packet.malicious_ground_truth,
-            },
-            time=now,
-            source=packet.five_tuple,
+        # Network mode infers retransmissions from duplicate sequence
+        # numbers, like the real P4 pipeline.
+        decisions = self._drive(
+            prefix, flow, now, False, fin, packet.tcp.seq, packet.malicious_ground_truth
         )
-        decisions = self.drivers[prefix].observe(signal)
         self.decisions.extend(decisions)
         self.metrics.counter("blink.packets_seen").increment()
         if monitor.probing:
-            probe_hop = monitor.probe_next_hop_for(packet.five_tuple)
+            probe_hop = monitor.probe_next_hop_for(flow)
             if probe_hop is not None:
                 return probe_hop
         return monitor.active_next_hop

@@ -19,9 +19,15 @@ the Monte-Carlo benches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.blink.constants import DEFAULT_CELLS, EVICTION_TIMEOUT, RESET_INTERVAL
+from repro.blink.constants import (
+    DEFAULT_CELLS,
+    EVICTION_TIMEOUT,
+    RESET_INTERVAL,
+    RETRANSMISSION_WINDOW,
+)
 from repro.core.errors import ConfigurationError
 from repro.flows.flow import FiveTuple
 from repro.obs import tracer as obs
@@ -40,6 +46,12 @@ class Cell:
     last_seq: Optional[int] = None
     #: Ground-truth marker of the occupying flow (evaluation only).
     malicious_ground_truth: bool = False
+    #: The cell's current entries in the selector's window-expiry and
+    #: inactivity heaps; both are None while the cell is not in the
+    #: retransmitting set.  A popped entry that is not the cell's
+    #: current one is stale and skipped.
+    retx_entry: Optional[Tuple[float, int]] = field(default=None, repr=False, compare=False)
+    idle_entry: Optional[Tuple[float, int]] = field(default=None, repr=False, compare=False)
 
     @property
     def occupied(self) -> bool:
@@ -52,6 +64,8 @@ class Cell:
         self.last_retransmission = None
         self.last_seq = None
         self.malicious_ground_truth = False
+        self.retx_entry = None
+        self.idle_entry = None
 
 
 @dataclass
@@ -86,6 +100,14 @@ class FlowSelector:
     Callers drive it with :meth:`observe` for each packet of the
     prefix; :meth:`maybe_reset` implements the 8.5 min sample reset
     (time-driven, so trace replays work without an event loop).
+
+    Like Blink's data plane, which keeps a running counter rather than
+    rescanning its cells, the selector maintains the set of cells whose
+    flow retransmitted within ``retransmission_window`` and is still
+    active; :meth:`retransmitting_count` is its size.  Two lazy-expiry
+    heaps, keyed on ``last_retransmission`` and ``last_activity``,
+    prune the set as time advances, so packets and queries must arrive
+    in non-decreasing time order.
     """
 
     #: Bound on the retransmission-gap sample window.
@@ -98,14 +120,16 @@ class FlowSelector:
         reset_interval: float = RESET_INTERVAL,
         hash_seed: int = 0,
         reseed_on_reset: bool = True,
+        retransmission_window: float = RETRANSMISSION_WINDOW,
     ):
         if cells <= 0:
             raise ConfigurationError("cells must be positive")
-        if eviction_timeout <= 0 or reset_interval <= 0:
+        if eviction_timeout <= 0 or reset_interval <= 0 or retransmission_window <= 0:
             raise ConfigurationError("timeouts must be positive")
         self.cells: List[Cell] = [Cell() for _ in range(cells)]
         self.eviction_timeout = eviction_timeout
         self.reset_interval = reset_interval
+        self.retransmission_window = retransmission_window
         self.hash_seed = hash_seed
         self.reseed_on_reset = reseed_on_reset
         self.stats = SelectorStats()
@@ -116,12 +140,29 @@ class FlowSelector:
         # reseed-on-reset) and bounded against unbounded flow churn.
         self._index_cache: Dict[FiveTuple, int] = {}
         self._index_cache_seed = hash_seed
-        # Upper bound on the newest retransmission timestamp ever seen;
-        # lets retransmitting_count() skip the cell scan entirely while
-        # no recent retransmission can possibly be in the window.
-        self._latest_retransmission = -float("inf")
+        # The retransmitting set: indices of occupied cells whose last
+        # retransmission is within the window and whose flow is not past
+        # the eviction timeout, as of the latest query.
+        self._live: Set[int] = set()
+        self._retx_heap: List[Tuple[float, int]] = []
+        self._idle_heap: List[Tuple[float, int]] = []
+        # Latest time seen by observe() or retransmitting_count().
+        self._clock = -float("inf")
 
     # -- sampling ----------------------------------------------------------
+
+    def index_for(self, flow: FiveTuple) -> int:
+        """The cell ``flow`` hashes to under the current seed (memoised)."""
+        cache = self._index_cache
+        if self._index_cache_seed != self.hash_seed:
+            cache.clear()
+            self._index_cache_seed = self.hash_seed
+        index = cache.get(flow)
+        if index is None:
+            if len(cache) >= 65536:
+                cache.clear()
+            index = cache[flow] = flow.cell_index(len(self.cells), seed=self.hash_seed)
+        return index
 
     def observe(
         self,
@@ -139,19 +180,15 @@ class FlowSelector:
         repeated ``seq`` (packet-driven mode, what the real P4 pipeline
         does).
         """
+        if now < self._clock:
+            raise self._backwards(now)
+        self._clock = now
         self.maybe_reset(now)
-        cache = self._index_cache
-        if self._index_cache_seed != self.hash_seed:
-            cache.clear()
-            self._index_cache_seed = self.hash_seed
-        index = cache.get(flow)
-        if index is None:
-            if len(cache) >= 65536:
-                cache.clear()
-            index = cache[flow] = flow.cell_index(len(self.cells), seed=self.hash_seed)
+        index = self.index_for(flow)
         cell = self.cells[index]
 
-        if cell.occupied and cell.flow != flow:
+        occupant = cell.flow
+        if occupant is not None and occupant is not flow and occupant != flow:
             if now - cell.last_activity >= self.eviction_timeout:
                 self.stats.evictions_inactive += 1
                 if obs.enabled():
@@ -164,12 +201,13 @@ class FlowSelector:
                     )
                 self._record_occupancy(cell, cell.last_activity + self.eviction_timeout)
                 cell.clear()
+                self._live.discard(index)
             else:
                 self.stats.collisions_ignored += 1
                 return None
 
         freshly_installed = False
-        if not cell.occupied:
+        if cell.flow is None:
             cell.flow = flow
             cell.installed_at = now
             cell.last_seq = None
@@ -184,8 +222,6 @@ class FlowSelector:
         duplicate_seq = seq is not None and cell.last_seq is not None and seq == cell.last_seq
         if is_retransmission or duplicate_seq:
             cell.last_retransmission = now
-            if now > self._latest_retransmission:
-                self._latest_retransmission = now
             # The gap between a retransmission and the flow's previous
             # packet is what the RTO-plausibility defense inspects:
             # genuine timeouts respect the RTO floor (~1 s), fakes
@@ -211,8 +247,32 @@ class FlowSelector:
                 )
             self._record_occupancy(cell, now)
             cell.clear()
+            self._live.discard(index)
             return None
+
+        # A cell outside the retransmitting set rejoins it as soon as a
+        # packet finds its last retransmission still inside the window
+        # (a fresh retransmission, or renewed activity after the set
+        # dropped it as idle).  Cells already in the set need nothing:
+        # their heap entries are refreshed lazily when they surface.
+        if cell.retx_entry is None:
+            last_retransmission = cell.last_retransmission
+            if (
+                last_retransmission is not None
+                and now - last_retransmission <= self.retransmission_window
+            ):
+                self._live.add(index)
+                cell.retx_entry = entry = (last_retransmission, index)
+                heappush(self._retx_heap, entry)
+                cell.idle_entry = entry = (now, index)
+                heappush(self._idle_heap, entry)
         return index
+
+    def _backwards(self, now: float) -> ValueError:
+        return ValueError(
+            f"flow selector time went backwards: {now} < {self._clock} "
+            "(packets and queries must arrive in non-decreasing time order)"
+        )
 
     def _record_occupancy(self, cell: Cell, evicted_at: float) -> None:
         if cell.occupied and not cell.malicious_ground_truth:
@@ -226,6 +286,9 @@ class FlowSelector:
             occupied = sum(1 for cell in self.cells if cell.occupied)
             for cell in self.cells:
                 cell.clear()
+            self._live.clear()
+            self._retx_heap.clear()
+            self._idle_heap.clear()
             self._last_reset += self.reset_interval * int(
                 (now - self._last_reset) / self.reset_interval
             )
@@ -267,25 +330,59 @@ class FlowSelector:
             count += 1
         return count
 
-    def retransmitting_count(self, now: float, window: float) -> int:
-        """Monitored flows with a retransmission within ``window`` s."""
-        # Cheap upper-bound check: if the newest retransmission ever
-        # recorded already fell out of the window, no cell can count.
-        if now - self._latest_retransmission > window:
+    def retransmitting_count(self, now: float) -> int:
+        """Monitored flows with a retransmission within the window.
+
+        A cell counts while ``now - last_retransmission <= window`` and
+        its flow is not past the eviction timeout
+        (``now - last_activity < eviction_timeout``).  Both predicates
+        only turn false as ``now`` grows, so the heaps pop each expired
+        entry once, re-check it against the cell's current timestamps,
+        and either drop the cell or re-file it under its newer one.
+        Raises ``ValueError`` if ``now`` is earlier than the latest
+        packet or query.
+        """
+        if now < self._clock:
+            raise self._backwards(now)
+        self._clock = now
+        live = self._live
+        if not live:
+            if self._retx_heap:
+                self._retx_heap.clear()
+                self._idle_heap.clear()
             return 0
-        count = 0
+        cells = self.cells
+        window = self.retransmission_window
+        heap = self._retx_heap
+        while heap and now - heap[0][0] > window:
+            entry = heappop(heap)
+            index = entry[1]
+            cell = cells[index]
+            if entry is not cell.retx_entry:
+                continue
+            last = cell.last_retransmission
+            if now - last > window:
+                live.discard(index)
+                cell.retx_entry = cell.idle_entry = None
+            else:
+                cell.retx_entry = entry = (last, index)
+                heappush(heap, entry)
         timeout = self.eviction_timeout
-        for cell in self.cells:
-            if cell.flow is None:
+        heap = self._idle_heap
+        while heap and now - heap[0][0] >= timeout:
+            entry = heappop(heap)
+            index = entry[1]
+            cell = cells[index]
+            if entry is not cell.idle_entry:
                 continue
-            last_retransmission = cell.last_retransmission
-            if last_retransmission is None:
-                continue
-            if now - cell.last_activity >= timeout:
-                continue
-            if now - last_retransmission <= window:
-                count += 1
-        return count
+            last = cell.last_activity
+            if now - last >= timeout:
+                live.discard(index)
+                cell.retx_entry = cell.idle_entry = None
+            else:
+                cell.idle_entry = entry = (last, index)
+                heappush(heap, entry)
+        return len(live)
 
     def monitored_flows(self) -> Dict[int, FiveTuple]:
         return {

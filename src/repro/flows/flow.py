@@ -28,7 +28,15 @@ def fnv1a_64(data: bytes) -> int:
 
 @dataclass(frozen=True)
 class FiveTuple:
-    """The classic (src, dst, sport, dport, protocol) flow identity."""
+    """The classic (src, dst, sport, dport, protocol) flow identity.
+
+    The hash is computed once, at construction: every packet of a flow
+    is looked up in several dicts (selector cell memo, per-flow trace
+    stats), and rebuilding the field tuple for each lookup dominated
+    those lookups.  It equals ``hash`` of the field tuple, so it is
+    salted per process like any ``str`` hash; pickling therefore
+    carries the fields only and the receiving process rehashes.
+    """
 
     src: str
     dst: str
@@ -42,6 +50,34 @@ class FiveTuple:
                 raise ValueError(f"port out of range: {port}")
         if not 0 <= self.protocol <= 255:
             raise ValueError(f"protocol out of range: {self.protocol}")
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.src, self.dst, self.src_port, self.dst_port, self.protocol)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        # Unequal cached hashes settle most comparisons of distinct flows
+        # (a selector cell held by another flow) without comparing fields.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.src == other.src
+            and self.dst == other.dst
+            and self.src_port == other.src_port
+            and self.dst_port == other.dst_port
+            and self.protocol == other.protocol
+        )
+
+    def __reduce__(self):
+        return (
+            FiveTuple,
+            (self.src, self.dst, self.src_port, self.dst_port, self.protocol),
+        )
 
     def packed(self) -> bytes:
         """Canonical byte encoding used for hashing."""

@@ -21,8 +21,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -32,9 +31,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flows.flow import FiveTuple
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One packet observation."""
+class TraceRecord(NamedTuple):
+    """One packet observation (immutable and hashable).
+
+    A named tuple rather than a frozen dataclass: the streaming path
+    builds one per packet, and a tuple is built in C where a frozen
+    dataclass's ``__init__`` sets each field through
+    ``object.__setattr__``.
+    """
 
     time: float
     flow: FiveTuple
@@ -59,6 +63,11 @@ class TraceRecord:
             is_fin_or_rst=fin_rst,
             malicious_ground_truth=packet.malicious_ground_truth,
         )
+
+
+#: Builds a :class:`TraceRecord` from a complete field tuple in C,
+#: skipping the generated ``__new__`` (one Python call per record).
+_new_record = tuple.__new__
 
 
 class Trace:
@@ -289,14 +298,17 @@ class StreamingTraceAggregator:
             points = self.points
             points[observation_point] = points.get(observation_point, 0) + 1
         if self.ring_capacity or self.sink is not None:
-            record = TraceRecord(
-                time=time,
-                flow=flow,
-                size=size,
-                observation_point=observation_point,
-                is_retransmission=is_retransmission,
-                is_fin_or_rst=is_fin_or_rst,
-                malicious_ground_truth=malicious,
+            record = _new_record(
+                TraceRecord,
+                (
+                    time,
+                    flow,
+                    size,
+                    observation_point,
+                    is_retransmission,
+                    is_fin_or_rst,
+                    malicious,
+                ),
             )
             if self.ring_capacity:
                 self.ring.append(record)

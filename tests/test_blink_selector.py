@@ -95,29 +95,29 @@ class TestReset:
 
 class TestRetransmissionTracking:
     def test_explicit_flag(self):
-        selector = FlowSelector(cells=4)
+        selector = FlowSelector(cells=4, retransmission_window=1.0)
         selector.observe(_flow(1), now=0.0)
         selector.observe(_flow(1), now=0.5, is_retransmission=True)
-        assert selector.retransmitting_count(now=1.0, window=1.0) == 1
+        assert selector.retransmitting_count(now=1.0) == 1
 
     def test_duplicate_seq_detection(self):
-        selector = FlowSelector(cells=4)
+        selector = FlowSelector(cells=4, retransmission_window=1.0)
         selector.observe(_flow(1), now=0.0, seq=100)
         selector.observe(_flow(1), now=0.3, seq=100)  # duplicate
-        assert selector.retransmitting_count(now=0.5, window=1.0) == 1
+        assert selector.retransmitting_count(now=0.5) == 1
 
     def test_advancing_seq_not_retransmission(self):
-        selector = FlowSelector(cells=4)
+        selector = FlowSelector(cells=4, retransmission_window=1.0)
         selector.observe(_flow(1), now=0.0, seq=100)
         selector.observe(_flow(1), now=0.3, seq=1560)
-        assert selector.retransmitting_count(now=0.5, window=1.0) == 0
+        assert selector.retransmitting_count(now=0.5) == 0
 
     def test_window_expiry(self):
-        selector = FlowSelector(cells=4)
+        selector = FlowSelector(cells=4, retransmission_window=1.0)
         selector.observe(_flow(1), now=0.0)
         selector.observe(_flow(1), now=0.5, is_retransmission=True)
         selector.observe(_flow(1), now=5.0)
-        assert selector.retransmitting_count(now=5.0, window=1.0) == 0
+        assert selector.retransmitting_count(now=5.0) == 0
 
     def test_gap_recording_skips_first_packet(self):
         selector = FlowSelector(cells=4)
